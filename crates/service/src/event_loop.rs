@@ -32,7 +32,7 @@ use sempe_core::json::Json;
 
 use crate::conn::{FrameEvent, Framer, IdWindow, WriteBuf};
 use crate::fault::FaultSite;
-use crate::net::Poller;
+use crate::net::{prepare_stream, Poller};
 use crate::pool::{Completer, Completion, Job, Payload, PushError};
 use crate::protocol::{
     with_id, Envelope, ErrorCode, Request, ServiceError, MAX_REQUEST_BYTES, PROTO_VERSION,
@@ -236,7 +236,7 @@ fn accept_burst(
                     continue;
                 }
                 shared.connections.inc();
-                if stream.set_nonblocking(true).is_err() {
+                if prepare_stream(&stream).is_err() {
                     continue;
                 }
                 // `register_fail` models the poller rejecting the fd;

@@ -15,6 +15,9 @@
 //!   `UnixStream::pair` where workers write a byte ([`Waker::wake`]) and the
 //!   loop drains it ([`Waker::drain`]). A full pipe means a wake is already
 //!   pending, so `WouldBlock` on the write side is success, not failure.
+//! - [`prepare_stream`] puts every TCP socket a loop owns (accepted
+//!   client connections, the router's shard links) into the one state the
+//!   loops need: nonblocking, with `TCP_NODELAY`.
 //!
 //! Everything here is mechanism; policy (what a token means, when to rearm,
 //! connection lifecycles) belongs to the event loop that owns the `Poller`.
@@ -53,7 +56,28 @@ mod sys {
 }
 
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
+
+/// Prepare a TCP socket for an event loop: nonblocking (the loops are
+/// edge-triggered and must never block on one peer) and `TCP_NODELAY`.
+///
+/// The loops write replies in whatever tick they complete in: streamed
+/// batch frames and out-of-order v2 replies land in a later tick than the
+/// previous write on the same socket, often before the peer has
+/// acknowledged it. With Nagle on, such a write is held until the peer's
+/// delayed ACK (40 ms on Linux) or its next send. The loops already
+/// coalesce at the application level — one flush per connection per tick
+/// — so nothing is left for Nagle to batch.
+///
+/// # Errors
+///
+/// The OS error when either option cannot be set; the caller gives up on
+/// the socket.
+pub fn prepare_stream(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nonblocking(true)?;
+    stream.set_nodelay(true)
+}
 
 /// A readiness event decoded from the kernel: which registration fired and
 /// what it is ready for. `hangup` covers `EPOLLERR | EPOLLHUP | EPOLLRDHUP` —
@@ -357,7 +381,8 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "accept readiness never fired");
         };
-        accepted.set_nonblocking(true).expect("nonblocking");
+        prepare_stream(&accepted).expect("prepare");
+        assert!(accepted.nodelay().expect("nodelay"), "loop sockets run with TCP_NODELAY");
         poller.add(accepted.as_raw_fd(), 7).expect("register conn");
 
         client.write_all(b"ping\n").expect("write");

@@ -39,7 +39,7 @@ use super::shard::Breaker;
 use super::{DialResult, RouterConfig, RouterShared};
 use crate::conn::{FrameEvent, Framer, IdWindow, WriteBuf};
 use crate::fault::FaultSite;
-use crate::net::Poller;
+use crate::net::{prepare_stream, Poller};
 use crate::protocol::{
     with_id, Envelope, ErrorCode, MetricsFormat, Request, ServiceError, MAX_ID_BYTES,
     MAX_REQUEST_BYTES, PROTO_VERSION,
@@ -492,7 +492,7 @@ impl RouterLoop {
                         continue;
                     }
                     self.metrics.connections_total.inc();
-                    if stream.set_nonblocking(true).is_err() {
+                    if prepare_stream(&stream).is_err() {
                         continue;
                     }
                     if self.shared.injector.fire(FaultSite::RegisterFail) {
@@ -1237,11 +1237,10 @@ impl RouterLoop {
             }
             match result {
                 Ok(stream) => {
-                    if stream.set_nonblocking(true).is_err() {
+                    if prepare_stream(&stream).is_err() {
                         self.shard_failed(poller, idx, now);
                         continue;
                     }
-                    let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
                     if poller.add(stream.as_raw_fd(), token).is_err() {

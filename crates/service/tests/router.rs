@@ -382,3 +382,58 @@ fn circuit_breaker_opens_on_a_dead_shard_and_closes_when_it_returns() {
     shard.shutdown();
     shard.join();
 }
+
+/// Send one streamed `batch` and read its frames through the terminal;
+/// returns the round trip. Asserts every trial streamed a frame.
+fn timed_batch(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    id: &str,
+    ns: &[u64],
+) -> Duration {
+    let started = Instant::now();
+    writeln!(stream, "{}", batch_line(id, ns)).expect("send batch");
+    let mut frames = 0;
+    loop {
+        let resp = read_line(reader);
+        let v = json::parse(&resp).expect("frame parses");
+        if v.get("partial").and_then(Json::as_bool) == Some(true) {
+            frames += 1;
+            continue;
+        }
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+        assert_eq!(frames, ns.len(), "one streamed frame per trial: {resp}");
+        return started.elapsed();
+    }
+}
+
+#[test]
+fn routed_streamed_batch_replies_are_not_held_for_delayed_acks() {
+    let shard =
+        Server::start(&ServiceConfig { workers: 1, ..ServiceConfig::default() }).expect("shard");
+    let router = Router::start(&fast_config(vec![shard.local_addr().to_string()])).expect("router");
+    wait_healthy(router.local_addr(), 1, Duration::from_secs(10));
+
+    let (mut stream, mut reader) = connect(router.local_addr());
+    // Nagle off on the client, so only the router's sockets are under
+    // test: a merged frame written in a later loop tick than the
+    // unacknowledged one before it must not wait for a delayed ACK.
+    stream.set_nodelay(true).expect("client nodelay");
+    hello(&mut stream, &mut reader);
+
+    let ns = [1u64, 2, 3, 4];
+    timed_batch(&mut stream, &mut reader, "warm", &ns);
+    let mut rtts: Vec<Duration> =
+        (0..20).map(|i| timed_batch(&mut stream, &mut reader, &format!("b{i}"), &ns)).collect();
+    rtts.sort();
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "routed 4-trial streamed batch median round trip {median:?} (all: {rtts:?})"
+    );
+
+    router.shutdown();
+    router.join();
+    shard.shutdown();
+    shard.join();
+}

@@ -303,3 +303,55 @@ fn legacy_connections_stay_in_order_without_frames() {
     server.shutdown();
     server.join();
 }
+
+/// Send one streamed `batch` and read its frames through the terminal;
+/// returns the round trip. Asserts every trial streamed a frame.
+fn timed_batch(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    id: &str,
+    ns: &[u64],
+) -> Duration {
+    let started = Instant::now();
+    writeln!(stream, "{}", batch_line(id, ns)).expect("send batch");
+    let mut frames = 0;
+    loop {
+        let resp = read_line(reader);
+        let v = json::parse(&resp).expect("frame parses");
+        if v.get("partial").and_then(Json::as_bool) == Some(true) {
+            frames += 1;
+            continue;
+        }
+        assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
+        assert_eq!(frames, ns.len(), "one streamed frame per trial: {resp}");
+        return started.elapsed();
+    }
+}
+
+#[test]
+fn streamed_batch_replies_are_not_held_for_delayed_acks() {
+    let server = start(1);
+    let (mut stream, mut reader) = connect(&server);
+    // Nagle off on the client, so only the server's socket is under test:
+    // a frame written in a later loop tick than the unacknowledged one
+    // before it must not wait for the client's 40 ms delayed ACK.
+    stream.set_nodelay(true).expect("client nodelay");
+    hello(&mut stream, &mut reader);
+
+    let ns = [1u64, 2, 3, 4];
+    timed_batch(&mut stream, &mut reader, "warm", &ns);
+    let mut rtts: Vec<Duration> =
+        (0..20).map(|i| timed_batch(&mut stream, &mut reader, &format!("b{i}"), &ns)).collect();
+    rtts.sort();
+    // The upper median: with Nagle on the server, every other round trip
+    // stalls (each delayed-ACK timeout makes the client ACK at once for
+    // the next round), so exactly half of the samples are slow.
+    let median = rtts[rtts.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "4-trial streamed batch median round trip {median:?} (all: {rtts:?})"
+    );
+
+    server.shutdown();
+    server.join();
+}
