@@ -128,10 +128,12 @@ fn cycle_skip_matches_classic_stepping_bit_for_bit() {
                     c = c.with_classic_stepping();
                 }
                 let mut sim = Simulator::new(cw.program(), c).expect("builds");
+                let _ = sim.take_host_profile();
                 let res = sim.run(200_000_000).expect("halts");
                 let outputs = cw.read_outputs(sim.mem());
                 let trace = sim.trace().clone();
-                (res.stats, outputs, trace, sim.skip_counters())
+                let host = sim.take_host_profile();
+                (res.stats, outputs, trace, (host.skipped_cycles, host.skips))
             };
             let (skip_stats, skip_out, skip_trace, (_, skips)) = run(false);
             let (classic_stats, classic_out, classic_trace, classic_counters) = run(true);

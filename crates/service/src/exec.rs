@@ -246,6 +246,18 @@ fn deadline_between(done: usize, total: usize, what: &str) -> ServiceError {
     .with_partial(Json::obj().with("items_done", done))
 }
 
+/// `E_DEADLINE` for a job refused before it ran: zero progress, in the
+/// op's own partial shape (`items_done` for `batch`/`attack`, as in
+/// [`deadline_between`]; simulation counters otherwise, as in
+/// [`sim_err`]).
+pub(crate) fn deadline_unstarted(op: &str, message: &str) -> ServiceError {
+    let partial = match op {
+        "batch" | "attack" => Json::obj().with("items_done", 0_u64),
+        _ => Json::obj().with("cycles", 0_u64).with("committed", 0_u64),
+    };
+    ServiceError::new(ErrorCode::Deadline, message).with_partial(partial)
+}
+
 fn expired(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() >= d)
 }

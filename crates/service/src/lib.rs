@@ -59,6 +59,7 @@ pub mod protocol;
 pub mod router;
 pub mod server;
 pub mod sync;
+mod upstream;
 
 pub use cache::{CacheKey, ResultCache};
 pub use exec::{cache_key, execute, execute_with_deadline, Arena, ForkCache};

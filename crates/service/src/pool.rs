@@ -426,7 +426,7 @@ pub(crate) fn worker_loop(shared: &Arc<Shared>) {
     let mut arena = Arena::new();
     while let Some(job) = shared.queue.pop() {
         let queue_wait = job.submitted.elapsed();
-        let refuse = |what: &str| ServiceError::new(ErrorCode::Deadline, what.to_string());
+        let refuse = |what: &str| exec::deadline_unstarted(job.request.op_name(), what);
         // A job whose budget died in the queue is answered, not run.
         if job.deadline.is_some_and(|d| Instant::now() >= d) {
             shared.deadlines_expired.inc();

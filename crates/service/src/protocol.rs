@@ -20,9 +20,11 @@
 //!   response.
 
 use core::fmt;
+use std::time::Instant;
 
 use sempe_compile::Backend;
 use sempe_core::json::{self, Json};
+use sempe_core::telemetry::Registry;
 use sempe_sim::{SecurityMode, SimConfig, Stepping};
 
 /// Hard cap on one request line (bytes, newline included).
@@ -331,6 +333,26 @@ pub enum MetricsFormat {
     Json,
     /// Prometheus-style text exposition, carried as a `"text"` member.
     Prometheus,
+}
+
+impl MetricsFormat {
+    /// The `metrics` response: the registry, after refreshing its
+    /// `uptime_ms` gauge from `started`.
+    pub(crate) fn render(self, registry: &Registry, started: Instant) -> String {
+        registry
+            .gauge("uptime_ms")
+            .set(u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX));
+        let base = Json::obj().with("ok", true).with("type", "metrics");
+        match self {
+            MetricsFormat::Json => {
+                base.with("format", "json").with("metrics", registry.snapshot()).encode()
+            }
+            MetricsFormat::Prometheus => base
+                .with("format", "prometheus")
+                .with("text", registry.render_prometheus())
+                .encode(),
+        }
+    }
 }
 
 impl Request {

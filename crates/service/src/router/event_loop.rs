@@ -21,9 +21,9 @@
 //! terminals are re-id'd in place and fanned-out `batch` terminals are
 //! stitched back together byte-identically to a single-shard run.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, ErrorKind};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -37,78 +37,14 @@ use super::ring;
 use super::scan;
 use super::shard::Breaker;
 use super::{DialResult, RouterConfig, RouterShared};
-use crate::conn::{FrameEvent, Framer, IdWindow, WriteBuf};
+use crate::conn::FrameEvent;
 use crate::fault::FaultSite;
 use crate::net::{prepare_stream, Poller};
-use crate::protocol::{
-    with_id, Envelope, ErrorCode, MetricsFormat, Request, ServiceError, MAX_ID_BYTES,
-    MAX_REQUEST_BYTES, PROTO_VERSION,
-};
+use crate::protocol::{with_id, ErrorCode, Request, ServiceError, MAX_ID_BYTES};
+use crate::upstream::{accept_burst, Link, Mode, Upstream, LOOP_TICK_MS};
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
-const LOOP_TICK_MS: i32 = 25;
-const ID_WINDOW: usize = 1024;
-
-/// Which protocol generation an upstream connection speaks.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Legacy,
-    V2,
-}
-
-/// A framed upstream input item, in arrival order (same shape as the
-/// server's, including `read_stall` parking).
-enum PendingItem {
-    Line { line: String, release: Option<Instant>, rolled: bool },
-    TooLong { recovered: bool },
-}
-
-/// Loop-owned state of one upstream connection — the server's `Conn`
-/// with the job-queue plumbing swapped for router job ids.
-struct Upstream {
-    stream: TcpStream,
-    framer: Framer,
-    wbuf: WriteBuf,
-    ids: IdWindow,
-    mode: Mode,
-    legacy_busy: bool,
-    pending: VecDeque<PendingItem>,
-    jobs: HashSet<u64>,
-    peer_closed: bool,
-    close_after_flush: bool,
-    stop_reading: bool,
-    dead: bool,
-    writable: bool,
-    write_stuck_since: Option<Instant>,
-    last_activity: Instant,
-}
-
-impl Upstream {
-    fn new(stream: TcpStream, now: Instant) -> Upstream {
-        Upstream {
-            stream,
-            framer: Framer::new(),
-            wbuf: WriteBuf::new(),
-            ids: IdWindow::new(ID_WINDOW),
-            mode: Mode::Legacy,
-            legacy_busy: false,
-            pending: VecDeque::new(),
-            jobs: HashSet::new(),
-            peer_closed: false,
-            close_after_flush: false,
-            stop_reading: false,
-            dead: false,
-            writable: true,
-            write_stuck_since: None,
-            last_activity: now,
-        }
-    }
-
-    fn quiescent(&self) -> bool {
-        self.jobs.is_empty() && self.pending.is_empty() && self.wbuf.is_empty()
-    }
-}
 
 /// Downstream link lifecycle.
 #[derive(Clone, Copy)]
@@ -141,12 +77,9 @@ struct ShardConn {
     /// Bumped per dial attempt; stale dialer results are discarded.
     generation: u64,
     token: Option<u64>,
-    stream: Option<TcpStream>,
-    framer: Framer,
-    wbuf: WriteBuf,
-    writable: bool,
-    close_after_flush: bool,
-    write_stuck_since: Option<Instant>,
+    /// The connected socket (`None` while down, dialing, or torn down
+    /// after EOF).
+    link: Option<Link>,
     breaker: Breaker,
     /// Router-minted send id → (job, chunk index).
     inflight: HashMap<String, (u64, usize)>,
@@ -271,7 +204,8 @@ struct RouterLoop {
     shared: Arc<RouterShared>,
     cfg: RouterConfig,
     salts: Vec<u64>,
-    ups: HashMap<u64, Upstream>,
+    /// Upstream connections; each job entry is a router job id.
+    ups: HashMap<u64, Upstream<()>>,
     shards: Vec<ShardConn>,
     jobs: HashMap<u64, RJob>,
     /// Chunks awaiting dispatch now — the loop never scans the whole
@@ -308,12 +242,7 @@ pub(crate) fn run(
             state: SState::Down { retry_at: now },
             generation: 0,
             token: None,
-            stream: None,
-            framer: Framer::new(),
-            wbuf: WriteBuf::new(),
-            writable: true,
-            close_after_flush: false,
-            write_stuck_since: None,
+            link: None,
             breaker: Breaker::new(
                 config.breaker_threshold,
                 Duration::from_millis(config.breaker_cooloff_ms),
@@ -360,28 +289,29 @@ impl RouterLoop {
                 match ev.token {
                     TOKEN_LISTENER => {
                         if !draining {
-                            self.accept_burst(poller, now);
+                            self.accept(poller, now);
                         }
                     }
                     TOKEN_WAKER => self.shared.waker.drain(),
                     token => {
                         if let Some(idx) = self.shards.iter().position(|s| s.token == Some(token)) {
                             let s = &mut self.shards[idx];
-                            if ev.writable {
-                                s.writable = true;
-                                s.write_stuck_since = None;
+                            let Some(link) = &mut s.link else { continue };
+                            let mut frames = Vec::new();
+                            // EOF / a read error drops the link, which the
+                            // pass below turns into a `shard_failed`
+                            // teardown — after the buffered lines (a dying
+                            // shard's final terminals) were handled.
+                            if link.on_event(ev, now, true, &mut frames) {
+                                link.shutdown();
+                                s.link = None;
                             }
-                            if ev.readable || ev.hangup {
-                                read_shard(s, idx, now, &mut shard_lines);
-                            }
+                            shard_lines.extend(frames.into_iter().filter_map(|f| match f {
+                                FrameEvent::Line(line) => Some((idx, line)),
+                                FrameEvent::TooLong { .. } => None,
+                            }));
                         } else if let Some(u) = self.ups.get_mut(&token) {
-                            if ev.writable {
-                                u.writable = true;
-                                u.write_stuck_since = None;
-                            }
-                            if ev.readable || ev.hangup {
-                                read_upstream(u, now);
-                            }
+                            u.on_event(ev, now);
                         }
                     }
                 }
@@ -395,14 +325,18 @@ impl RouterLoop {
             // terminals still count.
             for idx in 0..self.shards.len() {
                 if matches!(self.shards[idx].state, SState::Ready | SState::Handshaking { .. })
-                    && self.shards[idx].stream.is_none()
+                    && self.shards[idx].link.is_none()
                 {
                     self.shard_failed(poller, idx, now);
                 }
             }
             let tokens: Vec<u64> = self.ups.keys().copied().collect();
             for token in tokens {
-                self.process_pending(token, now);
+                while let Some(line) =
+                    self.ups.get_mut(&token).and_then(|u| u.next_line(&self.shared.injector, now))
+                {
+                    self.handle_upstream_line(token, &line, now);
+                }
             }
             // Timer work (probes, stalls, hedges, backoff promotion) has
             // ≥ tens-of-ms granularity; running it on a tick instead of
@@ -417,7 +351,9 @@ impl RouterLoop {
             }
             self.dispatch(now);
             for u in self.ups.values_mut() {
-                flush_upstream(&self.metrics, u, now);
+                if let Some(took) = u.flush(now) {
+                    self.metrics.phase_write.observe_duration(took);
+                }
             }
             self.flush_shards(poller, now);
             self.reap_upstreams(poller);
@@ -431,9 +367,8 @@ impl RouterLoop {
             }
         }
         for s in &mut self.shards {
-            if let Some(stream) = s.stream.take() {
-                let _ = poller.delete(stream.as_raw_fd());
-                let _ = stream.shutdown(Shutdown::Both);
+            if let Some(link) = s.link.take() {
+                link.close(poller);
             }
         }
         Ok(())
@@ -482,87 +417,35 @@ impl RouterLoop {
 
     // ---------------------------------------------------------------- upstream
 
-    fn accept_burst(&mut self, poller: &Poller, now: Instant) {
-        let storm = self.shared.injector.fire(FaultSite::AcceptStorm);
-        loop {
-            match self.shared.listener.accept() {
-                Ok((stream, _)) => {
-                    if storm || self.shared.injector.fire(FaultSite::AcceptDrop) {
-                        let _ = stream.shutdown(Shutdown::Both);
-                        continue;
-                    }
-                    self.metrics.connections_total.inc();
-                    if prepare_stream(&stream).is_err() {
-                        continue;
-                    }
-                    if self.shared.injector.fire(FaultSite::RegisterFail) {
-                        // The server panics here to exercise supervision;
-                        // the router sheds the connection instead — its
-                        // loop has no respawn wrapper to catch a panic.
-                        let _ = stream.shutdown(Shutdown::Both);
-                        continue;
-                    }
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if poller.add(stream.as_raw_fd(), token).is_err() {
-                        continue;
-                    }
+    /// Accept every pending connection. The server panics on a
+    /// `register_fail` roll to exercise its supervision; the router
+    /// sheds the connection instead — its loop has no respawn wrapper
+    /// to catch a panic.
+    fn accept(&mut self, poller: &Poller, now: Instant) {
+        let shared = &self.shared;
+        accept_burst(
+            &shared.listener,
+            &shared.injector,
+            &self.metrics.connections_total,
+            |stream| {
+                if shared.injector.fire(FaultSite::RegisterFail) {
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    return;
+                }
+                let token = self.next_token;
+                self.next_token += 1;
+                if poller.add(stream.as_raw_fd(), token).is_ok() {
                     self.metrics.connections_open.add(1);
                     self.ups.insert(token, Upstream::new(stream, now));
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn process_pending(&mut self, token: u64, now: Instant) {
-        loop {
-            let Some(u) = self.ups.get_mut(&token) else { return };
-            if u.close_after_flush || u.dead {
-                return;
-            }
-            if u.mode == Mode::Legacy && u.legacy_busy {
-                return;
-            }
-            let Some(front) = u.pending.front_mut() else { return };
-            match front {
-                PendingItem::TooLong { recovered } => {
-                    let recovered = *recovered;
-                    u.pending.pop_front();
-                    let e = ServiceError::new(
-                        ErrorCode::BadRequest,
-                        format!("request exceeds {MAX_REQUEST_BYTES} bytes"),
-                    );
-                    enqueue_upstream(&self.shared, u, &e.to_json(), now);
-                    if !recovered {
-                        u.close_after_flush = true;
-                        u.stop_reading = true;
-                    }
-                }
-                PendingItem::Line { release, rolled, .. } => {
-                    if !*rolled {
-                        *rolled = true;
-                        if let Some(stall) = self.shared.injector.stall(FaultSite::ReadStall) {
-                            *release = Some(now + stall);
-                        }
-                    }
-                    if release.is_some_and(|r| now < r) {
-                        return;
-                    }
-                    let Some(PendingItem::Line { line, .. }) = u.pending.pop_front() else {
-                        return;
-                    };
-                    self.handle_upstream_line(token, &line, now);
-                }
-            }
-        }
+            },
+        );
     }
 
     /// Queue a line on one upstream connection, if it is still around.
     fn reply(&mut self, token: u64, line: &str, now: Instant) {
         if let Some(u) = self.ups.get_mut(&token) {
-            enqueue_upstream(&self.shared, u, line, now);
+            u.send(&self.shared.injector, line, now);
         }
     }
 
@@ -618,32 +501,18 @@ impl RouterLoop {
                 return false; // fan-out slices inputs, which needs the tree
             }
         }
-        if let Some(id_str) = id.as_deref() {
-            if self.ups.get_mut(&token).is_some_and(|u| !u.ids.admit(id_str)) {
-                let e = ServiceError::new(
-                    ErrorCode::BadRequest,
-                    format!("request id {id_str} was already used on this connection"),
-                );
-                self.reply(token, &with_id(&e.to_json(), id.as_deref()), now);
+        if let Some(u) = self.ups.get_mut(&token) {
+            if let Err(reply) = u.admit_id(id.as_deref()) {
+                u.send(&self.shared.injector, &reply, now);
                 return true;
             }
         }
         self.metrics.req[slot].inc();
-        if self.jobs.len() >= self.cfg.max_inflight {
-            self.metrics.shed.inc();
-            let hint = self.retry_hint_ms(now);
-            let body = busy_line(
-                &format!("router at max inflight ({}); retry later", self.cfg.max_inflight),
-                hint,
-            );
-            let reply = with_id(&body, id.as_deref());
-            self.reply(token, &reply, now);
+        if self.shed(token, id.as_deref(), now) {
             return true;
         }
         let body = scanned.without("id");
-        let job_id = self.next_job;
-        self.next_job += 1;
-        let job = RJob {
+        self.queue_job(RJob {
             upstream: token,
             id,
             op,
@@ -655,15 +524,7 @@ impl RouterLoop {
             remaining: 1,
             chunks: vec![Chunk::new(body, 0, now)],
             total_items,
-        };
-        self.jobs.insert(job_id, job);
-        self.ready.push_back((job_id, 0));
-        if let Some(u) = self.ups.get_mut(&token) {
-            u.jobs.insert(job_id);
-            if u.mode == Mode::Legacy {
-                u.legacy_busy = true;
-            }
-        }
+        });
         true
     }
 
@@ -675,43 +536,9 @@ impl RouterLoop {
         if self.try_fast_path(token, trimmed, now) {
             return;
         }
-        let envelope = match Envelope::parse(trimmed) {
-            Ok(e) => e,
-            Err(e) => {
-                self.reply(token, &e.to_json(), now);
-                return;
-            }
-        };
-        let mode = match self.ups.get(&token) {
-            Some(u) => u.mode,
-            None => return,
-        };
-        if mode == Mode::V2 && envelope.id.is_none() {
-            let e = ServiceError::new(
-                ErrorCode::BadRequest,
-                "v2 requests must carry an id (responses are matched by it)",
-            );
-            self.reply(token, &e.to_json(), now);
+        let Some(u) = self.ups.get_mut(&token) else { return };
+        let Some((id, _, request)) = u.parse_request(&self.shared.injector, trimmed, now) else {
             return;
-        }
-        let id = envelope.id;
-        if let Some(id_str) = id.as_deref() {
-            let replay = self.ups.get_mut(&token).is_some_and(|u| !u.ids.admit(id_str));
-            if replay {
-                let e = ServiceError::new(
-                    ErrorCode::BadRequest,
-                    format!("request id {id_str} was already used on this connection"),
-                );
-                self.reply(token, &with_id(&e.to_json(), id.as_deref()), now);
-                return;
-            }
-        }
-        let request = match envelope.req {
-            Ok(r) => r,
-            Err(e) => {
-                self.reply(token, &with_id(&e.to_json(), id.as_deref()), now);
-                return;
-            }
         };
         self.shared
             .registry
@@ -720,53 +547,19 @@ impl RouterLoop {
         let body = match request {
             Request::Hello { proto } => {
                 let Some(u) = self.ups.get_mut(&token) else { return };
-                if u.mode == Mode::V2 {
-                    ServiceError::new(
-                        ErrorCode::BadRequest,
-                        "duplicate hello: this connection already speaks v2",
-                    )
-                    .to_json()
-                } else if proto != PROTO_VERSION {
-                    ServiceError::new(
-                        ErrorCode::BadRequest,
-                        format!("unsupported protocol version {proto} (this server speaks 2)"),
-                    )
-                    .to_json()
-                } else {
-                    u.mode = Mode::V2;
-                    Json::obj()
-                        .with("ok", true)
-                        .with("type", "hello")
-                        .with("proto", PROTO_VERSION)
-                        .with("streaming", true)
-                        .encode()
-                }
+                u.hello(proto)
             }
             Request::Stats => self.stats_line(now),
             Request::Health => self.health_line(now),
             Request::Metrics { format } => {
                 self.shared.registry.gauge("router_jobs_inflight").set(self.jobs.len() as u64);
-                self.shared
-                    .registry
-                    .gauge("uptime_ms")
-                    .set(u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX));
-                let base = Json::obj().with("ok", true).with("type", "metrics");
-                match format {
-                    MetricsFormat::Json => base
-                        .with("format", "json")
-                        .with("metrics", self.shared.registry.snapshot())
-                        .encode(),
-                    MetricsFormat::Prometheus => base
-                        .with("format", "prometheus")
-                        .with("text", self.shared.registry.render_prometheus())
-                        .encode(),
-                }
+                format.render(&self.shared.registry, self.started)
             }
             Request::Shutdown => {
                 let body = Json::obj().with("ok", true).with("type", "shutdown").encode();
                 self.reply(token, &with_id(&body, id.as_deref()), now);
                 if let Some(u) = self.ups.get_mut(&token) {
-                    u.close_after_flush = true;
+                    u.close_when_flushed();
                 }
                 self.shared.initiate_shutdown();
                 return;
@@ -790,15 +583,7 @@ impl RouterLoop {
         id: Option<String>,
         now: Instant,
     ) {
-        if self.jobs.len() >= self.cfg.max_inflight {
-            self.metrics.shed.inc();
-            let hint = self.retry_hint_ms(now);
-            let Some(u) = self.ups.get_mut(&token) else { return };
-            let body = busy_line(
-                &format!("router at max inflight ({}); retry later", self.cfg.max_inflight),
-                hint,
-            );
-            enqueue_upstream(&self.shared, u, &with_id(&body, id.as_deref()), now);
+        if self.shed(token, id.as_deref(), now) {
             return;
         }
         let source = match &request {
@@ -831,15 +616,12 @@ impl RouterLoop {
             }
         }
         let chunks = chunks.unwrap_or_else(|| vec![Chunk::new(parsed.encode(), 0, now)]);
-        let job_id = self.next_job;
-        self.next_job += 1;
         let op = request.op_name();
-        let stream_frames = mode == Mode::V2 && request.is_heavy();
-        let job = RJob {
+        self.queue_job(RJob {
             upstream: token,
             id,
             op,
-            stream_frames,
+            stream_frames: mode == Mode::V2 && request.is_heavy(),
             hedgeable: matches!(op, "compile" | "run" | "attack"),
             digest,
             seq: 0,
@@ -847,15 +629,35 @@ impl RouterLoop {
             remaining: chunks.len(),
             chunks,
             total_items,
-        };
-        let n_chunks = job.chunks.len();
+        });
+    }
+
+    /// Load shedding: at max inflight, answer `E_BUSY` with a retry
+    /// hint instead of admitting the request.
+    fn shed(&mut self, token: u64, id: Option<&str>, now: Instant) -> bool {
+        if self.jobs.len() < self.cfg.max_inflight {
+            return false;
+        }
+        self.metrics.shed.inc();
+        let hint = self.retry_hint_ms(now);
+        let body = busy_line(
+            &format!("router at max inflight ({}); retry later", self.cfg.max_inflight),
+            hint,
+        );
+        self.reply(token, &with_id(&body, id), now);
+        true
+    }
+
+    /// Admit a router job: queue its chunks for dispatch and hold its
+    /// upstream's v1 gate.
+    fn queue_job(&mut self, job: RJob) {
+        let job_id = self.next_job;
+        self.next_job += 1;
+        let upstream = job.upstream;
+        self.ready.extend((0..job.chunks.len()).map(|ci| (job_id, ci)));
         self.jobs.insert(job_id, job);
-        self.ready.extend((0..n_chunks).map(|ci| (job_id, ci)));
-        if let Some(u) = self.ups.get_mut(&token) {
-            u.jobs.insert(job_id);
-            if u.mode == Mode::Legacy {
-                u.legacy_busy = true;
-            }
+        if let Some(u) = self.ups.get_mut(&upstream) {
+            u.jobs.insert(job_id, ());
         }
     }
 
@@ -937,7 +739,7 @@ impl RouterLoop {
             seen: 0,
         });
         self.shards[shard].inflight.insert(sid, (job_id, ci));
-        enqueue_shard(&self.shared, &mut self.shards[shard], &line, now);
+        self.send_shard(shard, &line, now);
     }
 
     /// A chunk's active send failed: clear its sends and requeue it with
@@ -980,10 +782,7 @@ impl RouterLoop {
         }
         if let Some(u) = self.ups.get_mut(&job.upstream) {
             u.jobs.remove(&job_id);
-            if u.mode == Mode::Legacy {
-                u.legacy_busy = false;
-            }
-            enqueue_upstream(&self.shared, u, &with_id(body, job.id.as_deref()), now);
+            u.send(&self.shared.injector, &with_id(body, job.id.as_deref()), now);
         }
     }
 
@@ -1022,10 +821,7 @@ impl RouterLoop {
         }
         if let Some(u) = self.ups.get_mut(&job.upstream) {
             u.jobs.remove(&job_id);
-            if u.mode == Mode::Legacy {
-                u.legacy_busy = false;
-            }
-            enqueue_upstream(&self.shared, u, &body, now);
+            u.send(&self.shared.injector, &body, now);
         }
     }
 
@@ -1046,7 +842,7 @@ impl RouterLoop {
                 } else {
                     // Wrong protocol or an error ack: drop the link; the
                     // sweep tears it down and schedules a redial.
-                    s.stream = None;
+                    s.link = None;
                 }
             }
             SState::Ready => {
@@ -1145,9 +941,7 @@ impl RouterLoop {
         };
         job.seq += 1;
         self.metrics.frames_merged.inc();
-        if let Some(u) = self.ups.get_mut(&upstream) {
-            enqueue_upstream(&self.shared, u, &out, now);
-        }
+        self.reply(upstream, &out, now);
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1250,19 +1044,9 @@ impl RouterLoop {
                     let deadline = now + self.cfg.probe_timeout();
                     let s = &mut self.shards[idx];
                     s.token = Some(token);
-                    s.stream = Some(stream);
+                    s.link = Some(Link::new(stream, now));
                     s.state = SState::Handshaking { deadline };
-                    s.framer = Framer::new();
-                    s.wbuf = WriteBuf::new();
-                    s.writable = true;
-                    s.close_after_flush = false;
-                    s.write_stuck_since = None;
-                    enqueue_shard(
-                        &self.shared,
-                        &mut self.shards[idx],
-                        "{\"id\":\"h0\",\"type\":\"hello\",\"proto\":2}",
-                        now,
-                    );
+                    self.send_shard(idx, "{\"id\":\"h0\",\"type\":\"hello\",\"proto\":2}", now);
                 }
                 Err(_) => self.shard_failed(poller, idx, now),
             }
@@ -1304,16 +1088,10 @@ impl RouterLoop {
             let s = &mut self.shards[idx];
             s.breaker.on_failure(now);
             s.generation += 1; // invalidate any in-flight dial
-            if let Some(stream) = s.stream.take() {
-                let _ = poller.delete(stream.as_raw_fd());
-                let _ = stream.shutdown(Shutdown::Both);
+            if let Some(link) = s.link.take() {
+                link.close(poller);
             }
             s.token = None;
-            s.framer = Framer::new();
-            s.wbuf = WriteBuf::new();
-            s.writable = true;
-            s.close_after_flush = false;
-            s.write_stuck_since = None;
             s.probe = None;
             s.healthy = false;
             s.state = SState::Down { retry_at };
@@ -1346,9 +1124,9 @@ impl RouterLoop {
                     // Wedged: no probe reply inside the window, or a
                     // write stuck past the frame timeout.
                     if s.probe.as_ref().is_some_and(|(_, deadline)| now >= *deadline)
-                        || s.write_stuck_since.is_some_and(|since| {
-                            now.duration_since(since) >= self.cfg.frame_timeout()
-                        })
+                        || s.link
+                            .as_ref()
+                            .is_some_and(|l| l.write_stalled(now, self.cfg.frame_timeout()))
                     {
                         2
                     } else if s.probe.is_none() && now >= s.next_probe_at {
@@ -1368,7 +1146,7 @@ impl RouterLoop {
                     let line = format!("{{\"id\":{},\"type\":\"health\"}}", json::escape(&sid));
                     let deadline = now + self.cfg.probe_timeout();
                     self.shards[idx].probe = Some((sid, deadline));
-                    enqueue_shard(&self.shared, &mut self.shards[idx], &line, now);
+                    self.send_shard(idx, &line, now);
                 }
                 _ => {}
             }
@@ -1432,70 +1210,31 @@ impl RouterLoop {
             self.send_chunk(job_id, ci, target, now);
         }
         // Upstream timers: frame stalls, stuck writes, idle reaping.
+        let (frame_timeout, idle_timeout) = (self.cfg.frame_timeout(), self.cfg.idle_timeout());
         for u in self.ups.values_mut() {
-            if u.dead {
-                continue;
-            }
-            if !u.close_after_flush {
-                if let Some(started) = u.framer.frame_started() {
-                    if now.duration_since(started) >= self.cfg.frame_timeout() {
-                        let e = ServiceError::new(
-                            ErrorCode::BadRequest,
-                            "request frame stalled mid-transfer",
-                        );
-                        enqueue_upstream(&self.shared, u, &e.to_json(), now);
-                        u.close_after_flush = true;
-                        u.stop_reading = true;
-                    }
-                }
-            }
-            if u.write_stuck_since
-                .is_some_and(|since| now.duration_since(since) >= self.cfg.frame_timeout())
-            {
-                u.dead = true;
-                continue;
-            }
-            if u.quiescent()
-                && !u.framer.mid_frame()
-                && now.duration_since(u.last_activity) >= self.cfg.idle_timeout()
-            {
-                u.dead = true;
-            }
+            u.sweep(&self.shared.injector, now, frame_timeout, idle_timeout);
         }
     }
 
     // ---------------------------------------------------------------- flush / reap
 
+    /// Queue a downstream request line. The upstream write faults apply
+    /// here too — a truncated router→shard frame kills the link and
+    /// exercises the retry path, which is the point of running chaos on
+    /// this hop.
+    fn send_shard(&mut self, idx: usize, line: &str, now: Instant) {
+        if let Some(link) = &mut self.shards[idx].link {
+            link.enqueue(&self.shared.injector, line, now);
+        }
+    }
+
     fn flush_shards(&mut self, poller: &Poller, now: Instant) {
         for idx in 0..self.shards.len() {
-            let s = &mut self.shards[idx];
-            let Some(stream) = &s.stream else { continue };
-            if !s.writable {
-                continue;
-            }
-            let mut died = false;
-            loop {
-                let slice = s.wbuf.writable_slice(now);
-                if slice.is_empty() {
-                    break;
-                }
-                match (&*stream).write(slice) {
-                    Ok(n) => s.wbuf.advance(n, now),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        s.writable = false;
-                        s.write_stuck_since.get_or_insert(now);
-                        break;
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        died = true;
-                        break;
-                    }
-                }
-            }
-            if died || (s.close_after_flush && s.wbuf.is_empty()) {
-                // A truncated fault-injected write killed the link's
-                // framing: same recovery as a real link death.
+            let Some(link) = &mut self.shards[idx].link else { continue };
+            // A write error, or a truncated fault-injected write that has
+            // gone out (the link's framing is dead): same recovery as a
+            // real link death.
+            if link.flush(now).is_err() || link.flushed_for_close() {
                 self.shard_failed(poller, idx, now);
             }
         }
@@ -1503,22 +1242,13 @@ impl RouterLoop {
 
     fn reap_upstreams(&mut self, poller: &Poller) {
         let draining = self.shared.shutdown.load(Ordering::SeqCst);
-        let closing: Vec<u64> = self
-            .ups
-            .iter()
-            .filter(|(_, u)| {
-                u.dead
-                    || (u.peer_closed && u.quiescent())
-                    || (draining && u.quiescent() && !u.framer.mid_frame())
-            })
-            .map(|(&t, _)| t)
-            .collect();
+        let closing: Vec<u64> =
+            self.ups.iter().filter(|(_, u)| u.should_close(draining)).map(|(&t, _)| t).collect();
         for token in closing {
             let Some(u) = self.ups.remove(&token) else { continue };
-            let _ = poller.delete(u.stream.as_raw_fd());
-            let _ = u.stream.shutdown(Shutdown::Both);
-            self.shared.registry.gauge("router_connections_open").sub(1);
-            for job_id in u.jobs {
+            u.close(poller);
+            self.metrics.connections_open.sub(1);
+            for job_id in u.jobs.into_keys() {
                 if let Some(job) = self.jobs.remove(&job_id) {
                     for chunk in &job.chunks {
                         for s in &chunk.sends {
@@ -1610,141 +1340,4 @@ fn dial(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
         }
     }
     Err(last)
-}
-
-fn read_upstream(u: &mut Upstream, now: Instant) {
-    let mut chunk = [0u8; 16 * 1024];
-    let mut frames = Vec::new();
-    loop {
-        match (&u.stream).read(&mut chunk) {
-            Ok(0) => {
-                u.peer_closed = true;
-                break;
-            }
-            Ok(n) => {
-                u.last_activity = now;
-                if !u.stop_reading {
-                    u.framer.feed(&chunk[..n], now, &mut frames);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                u.peer_closed = true;
-                break;
-            }
-        }
-    }
-    for ev in frames {
-        match ev {
-            FrameEvent::Line(line) => {
-                u.pending.push_back(PendingItem::Line { line, release: None, rolled: false });
-            }
-            FrameEvent::TooLong { recovered } => {
-                u.pending.push_back(PendingItem::TooLong { recovered });
-            }
-        }
-    }
-}
-
-/// Drain a shard socket; complete lines are collected for handling
-/// after the event sweep. EOF / a read error drops the stream, which
-/// the main loop turns into a `shard_failed` teardown — after the
-/// buffered lines (a dying shard's final terminals) were processed.
-fn read_shard(s: &mut ShardConn, idx: usize, now: Instant, out: &mut Vec<(usize, String)>) {
-    let Some(stream) = &s.stream else { return };
-    let mut chunk = [0u8; 16 * 1024];
-    let mut frames = Vec::new();
-    let mut died = false;
-    loop {
-        match (&*stream).read(&mut chunk) {
-            Ok(0) => {
-                died = true;
-                break;
-            }
-            Ok(n) => s.framer.feed(&chunk[..n], now, &mut frames),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                died = true;
-                break;
-            }
-        }
-    }
-    for ev in frames {
-        if let FrameEvent::Line(line) = ev {
-            out.push((idx, line));
-        }
-    }
-    if died {
-        if let Some(stream) = s.stream.take() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// Queue an upstream response line, applying the write-side fault sites.
-fn enqueue_upstream(shared: &Arc<RouterShared>, u: &mut Upstream, line: &str, now: Instant) {
-    u.last_activity = now;
-    if shared.injector.fire(FaultSite::WriteTrunc) {
-        u.wbuf.enqueue_truncated(line);
-        u.close_after_flush = true;
-        u.stop_reading = true;
-    } else if let Some(stall) = shared.injector.stall(FaultSite::WriteStall) {
-        u.wbuf.enqueue_stalled(line, stall, now);
-    } else {
-        u.wbuf.enqueue(line);
-    }
-}
-
-/// Queue a downstream request line. The same write faults apply — a
-/// truncated router→shard frame kills the link and exercises the retry
-/// path, which is the point of running chaos on this hop.
-fn enqueue_shard(shared: &Arc<RouterShared>, s: &mut ShardConn, line: &str, now: Instant) {
-    if shared.injector.fire(FaultSite::WriteTrunc) {
-        s.wbuf.enqueue_truncated(line);
-        s.close_after_flush = true;
-    } else if let Some(stall) = shared.injector.stall(FaultSite::WriteStall) {
-        s.wbuf.enqueue_stalled(line, stall, now);
-    } else {
-        s.wbuf.enqueue(line);
-    }
-}
-
-fn flush_upstream(metrics: &Metrics, u: &mut Upstream, now: Instant) {
-    if u.dead || !u.writable {
-        return;
-    }
-    let start = Instant::now();
-    let mut wrote_any = false;
-    loop {
-        let slice = u.wbuf.writable_slice(now);
-        if slice.is_empty() {
-            break;
-        }
-        match (&u.stream).write(slice) {
-            Ok(n) => {
-                wrote_any = true;
-                u.wbuf.advance(n, now);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                u.writable = false;
-                u.write_stuck_since.get_or_insert(now);
-                break;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => {
-                u.dead = true;
-                return;
-            }
-        }
-    }
-    if wrote_any {
-        u.write_stuck_since = None;
-        metrics.phase_write.observe_duration(start.elapsed());
-    }
-    if u.close_after_flush && u.wbuf.is_empty() {
-        let _ = u.stream.shutdown(Shutdown::Both);
-        u.dead = true;
-    }
 }

@@ -9,20 +9,22 @@
 //! and hands out borrowed spans instead.
 //!
 //! The scanner is deliberately conservative: anything structurally
-//! surprising (bad escape, mismatched brackets, trailing bytes,
-//! duplicate-looking grammar it cannot vouch for) returns `None` and
-//! the caller falls back to the full-parse slow path. It validates the
-//! top-level grammar strictly; *nested* container internals are only
-//! bracket-matched, which is fine for a proxy — a shard re-validates
-//! everything it executes.
+//! surprising (bad escape, mismatched brackets, trailing bytes, a key
+//! spelled with escapes) returns `None` and the caller falls back to
+//! the full-parse slow path. Nested values are held to the same grammar
+//! and nesting limit as `sempe_core::json`, so every line the scanner
+//! accepts is one that parser (and therefore a shard) accepts too.
 
 use sempe_core::hash::Fnv1a;
 
+/// Deepest value `sempe_core::json::parse` accepts (the top-level
+/// object is depth 1).
+const MAX_DEPTH: usize = 64;
+
 /// One top-level member of the scanned object, as raw line spans.
 pub(crate) struct Member<'a> {
-    /// Raw key bytes between the quotes (escapes are *not* decoded; a
-    /// key spelled with escapes never matches a plain lookup, which is
-    /// the conservative direction — the slow path decodes properly).
+    /// Key bytes between the quotes (never escaped: such lines take
+    /// the slow path, so raw and decoded keys agree).
     pub(crate) key: &'a str,
     /// The value token exactly as written, quotes and all.
     pub(crate) value: &'a str,
@@ -78,43 +80,25 @@ impl Cur<'_> {
     fn string(&mut self) -> Option<(usize, usize)> {
         self.eat(b'"')?;
         let start = self.pos;
-        loop {
-            match self.peek()? {
-                b'"' => {
-                    let end = self.pos;
-                    self.pos += 1;
-                    return Some((start, end));
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek()? {
-                        b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => self.pos += 1,
-                        b'u' => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                if !self.peek()?.is_ascii_hexdigit() {
-                                    return None;
-                                }
-                                self.pos += 1;
-                            }
-                        }
-                        _ => return None,
-                    }
-                }
-                c if c < 0x20 => return None,
-                _ => self.pos += 1,
-            }
-        }
+        self.pos += unescape(&self.s[start..], |_| {})?;
+        let end = self.pos;
+        self.eat(b'"')?;
+        Some((start, end))
     }
 
-    /// Scan one value token of any type; returns its span.
-    fn value(&mut self) -> Option<(usize, usize)> {
+    /// Scan one value token of any type at nesting `depth`; returns
+    /// its span.
+    fn value(&mut self, depth: usize) -> Option<(usize, usize)> {
+        if depth > MAX_DEPTH {
+            return None;
+        }
         let start = self.pos;
         match self.peek()? {
             b'"' => {
                 self.string()?;
             }
-            b'{' | b'[' => self.container()?,
+            b'{' => self.container(b'}', depth)?,
+            b'[' => self.container(b']', depth)?,
             b't' => self.lit(b"true")?,
             b'f' => self.lit(b"false")?,
             b'n' => self.lit(b"null")?,
@@ -124,38 +108,33 @@ impl Cur<'_> {
         Some((start, self.pos))
     }
 
-    /// Skip a balanced `{...}` / `[...]`, tracking bracket kinds in a
-    /// 64-deep bitstack (deeper nesting falls back to the slow path).
-    fn container(&mut self) -> Option<()> {
-        let mut stack = 0u64;
-        let mut depth = 0u32;
+    /// Scan an object (`close` is `}`) or array body, cursor on its
+    /// opening bracket.
+    fn container(&mut self, close: u8, depth: usize) -> Option<()> {
+        self.pos += 1;
+        self.ws();
+        if self.eat(close).is_some() {
+            return Some(());
+        }
         loop {
+            if close == b'}' {
+                self.string()?;
+                self.ws();
+                self.eat(b':')?;
+                self.ws();
+            }
+            self.value(depth + 1)?;
+            self.ws();
             match self.peek()? {
-                b'"' => {
-                    self.string()?;
-                }
-                b'{' | b'[' => {
-                    if depth >= 64 {
-                        return None;
-                    }
-                    stack = (stack << 1) | u64::from(self.s[self.pos] == b'[');
-                    depth += 1;
+                b',' => {
                     self.pos += 1;
+                    self.ws();
                 }
-                close @ (b'}' | b']') => {
-                    let want_sq = stack & 1 == 1;
-                    if depth == 0 || want_sq != (close == b']') {
-                        return None;
-                    }
-                    stack >>= 1;
-                    depth -= 1;
+                c if c == close => {
                     self.pos += 1;
-                    if depth == 0 {
-                        return Some(());
-                    }
+                    return Some(());
                 }
-                c if c < 0x20 && !matches!(c, b'\t' | b'\r' | b'\n') => return None,
-                _ => self.pos += 1,
+                _ => return None,
             }
         }
     }
@@ -215,10 +194,13 @@ impl<'a> TopLevel<'a> {
             loop {
                 let key_quote = c.pos;
                 let (ks, ke) = c.string()?;
+                if line[ks..ke].contains('\\') {
+                    return None;
+                }
                 c.ws();
                 c.eat(b':')?;
                 c.ws();
-                let (vs, ve) = c.value()?;
+                let (vs, ve) = c.value(2)?;
                 members.push(Member {
                     key: &line[ks..ke],
                     value: &line[vs..ve],
@@ -305,17 +287,26 @@ fn hex4(s: &[u8], at: usize) -> Option<u32> {
 
 /// FNV-1a over the *decoded* bytes of a string token's inner span —
 /// exactly `fnv1a(parsed_string.as_bytes())` without materializing the
-/// string. Escape semantics mirror `sempe_core::json` (including
-/// surrogate pairs); `None` on anything that parser would reject.
+/// string; `None` on anything `sempe_core::json` would reject.
 pub(crate) fn fnv1a_unescaped(inner: &str) -> Option<u64> {
-    let s = inner.as_bytes();
     let mut h = Fnv1a::new();
+    let end = unescape(inner.as_bytes(), |bytes| h.write(bytes))?;
+    (end == inner.len()).then(|| h.finish())
+}
+
+/// Decode a string body up to its closing quote (or the end of `s`),
+/// feeding the decoded bytes to `sink`; returns where it stopped.
+/// Escape semantics mirror `sempe_core::json` (including surrogate
+/// pairs); `None` on an escape or control byte that parser rejects.
+fn unescape(s: &[u8], mut sink: impl FnMut(&[u8])) -> Option<usize> {
     let mut i = 0usize;
     let mut run = 0usize;
     while i < s.len() {
         let b = s[i];
-        if b == b'\\' {
-            h.write(&s[run..i]);
+        if b == b'"' {
+            break;
+        } else if b == b'\\' {
+            sink(&s[run..i]);
             i += 1;
             let esc = *s.get(i)?;
             i += 1;
@@ -351,7 +342,7 @@ pub(crate) fn fnv1a_unescaped(inner: &str) -> Option<u64> {
                 _ => return None,
             };
             let mut buf = [0u8; 4];
-            h.write(decoded.encode_utf8(&mut buf).as_bytes());
+            sink(decoded.encode_utf8(&mut buf).as_bytes());
             run = i;
         } else if b < 0x20 {
             return None;
@@ -359,8 +350,8 @@ pub(crate) fn fnv1a_unescaped(inner: &str) -> Option<u64> {
             i += 1;
         }
     }
-    h.write(&s[run..]);
-    Some(h.finish())
+    sink(&s[run..i]);
+    Some(i)
 }
 
 /// Number of top-level elements in an array token.
@@ -376,7 +367,7 @@ pub(crate) fn array_len(raw: &str) -> Option<u64> {
     }
     let mut n = 1u64;
     loop {
-        c.value()?;
+        c.value(3)?;
         c.ws();
         match c.peek()? {
             b',' => {
@@ -394,6 +385,10 @@ pub(crate) fn array_len(raw: &str) -> Option<u64> {
     c.ws();
     (c.pos == c.s.len()).then_some(n)
 }
+
+#[cfg(test)]
+#[path = "../../tests/unit/scan_json_differential.rs"]
+mod json_differential;
 
 #[cfg(test)]
 mod tests {

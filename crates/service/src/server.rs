@@ -59,17 +59,11 @@ use crate::pool::{spawn_worker, supervisor_loop, CompletionQueue, JobQueue};
 use crate::protocol::MetricsFormat;
 use crate::sync;
 
-/// The event loop's fallback tick: the longest completions can sit
-/// undelivered when a wake is lost, and the granularity of every
-/// loop-side timer (deadlines, idle/frame timeouts, fault corks).
-pub(crate) const LOOP_TICK_MS: i32 = 25;
 /// Grace allowed past a request's deadline for a job still sitting in
 /// the queue before the event loop answers `E_DEADLINE` itself.
 pub(crate) const QUEUED_DEADLINE_GRACE: Duration = Duration::from_millis(100);
 /// Ceiling on one supervisor backoff pause.
 pub(crate) const MAX_BACKOFF_MS: u64 = 2_000;
-/// Per-connection window of remembered request ids (reuse detection).
-pub(crate) const ID_WINDOW: usize = 1024;
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -283,19 +277,7 @@ impl Shared {
         self.registry.gauge("queue_capacity").set(self.queue.capacity as u64);
         self.registry.gauge("cache_entries").set(self.cache.len() as u64);
         self.registry.gauge("fork_checkpoints").set(self.forks.len() as u64);
-        self.registry
-            .gauge("uptime_ms")
-            .set(u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX));
-        let base = Json::obj().with("ok", true).with("type", "metrics");
-        match format {
-            MetricsFormat::Json => {
-                base.with("format", "json").with("metrics", self.registry.snapshot()).encode()
-            }
-            MetricsFormat::Prometheus => base
-                .with("format", "prometheus")
-                .with("text", self.registry.render_prometheus())
-                .encode(),
-        }
+        format.render(&self.registry, self.started)
     }
 
     /// No worker is alive and the supervisor will not bring one back —

@@ -1,8 +1,11 @@
 //! Router integration tests over real TCP: digest affinity into the
 //! shard cache tier, fan-out stream merging (dense per-id `seq`, shard
 //! provenance, byte-identical terminals), surviving a `kill -9` of a
-//! shard mid-batch with zero duplicated or lost trials, and the
-//! circuit-breaker open → close lifecycle against a flapping shard.
+//! shard mid-batch with zero duplicated or lost trials, the
+//! circuit-breaker open → close lifecycle against a flapping shard,
+//! upstream replies byte-identical to a single shard's (hello, id rules,
+//! oversized and garbage lines), and a soak under the router's own I/O
+//! fault sites.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -431,6 +434,160 @@ fn routed_streamed_batch_replies_are_not_held_for_delayed_acks() {
         median < Duration::from_millis(20),
         "routed 4-trial streamed batch median round trip {median:?} (all: {rtts:?})"
     );
+
+    router.shutdown();
+    router.join();
+    shard.shutdown();
+    shard.join();
+}
+
+/// Send `lines` on one connection, reading one reply per line.
+fn session(addr: std::net::SocketAddr, lines: &[String]) -> Vec<String> {
+    let (mut stream, mut reader) = connect(addr);
+    lines
+        .iter()
+        .map(|line| {
+            stream.write_all(line.as_bytes()).expect("send");
+            stream.write_all(b"\n").expect("send");
+            read_line(&mut reader)
+        })
+        .collect()
+}
+
+#[test]
+fn upstream_replies_through_the_router_are_byte_identical_to_a_shard() {
+    let shard =
+        Server::start(&ServiceConfig { workers: 1, ..ServiceConfig::default() }).expect("shard");
+    let router = Router::start(&fast_config(vec![shard.local_addr().to_string()])).expect("router");
+    wait_healthy(router.local_addr(), 1, Duration::from_secs(10));
+
+    let source = json::escape(TUNABLE);
+    let compile = |id: &str| {
+        let id = if id.is_empty() { String::new() } else { format!(r#""id":{id},"#) };
+        format!(r#"{{{id}"type":"compile","source":{source},"backend":"sempe"}}"#)
+    };
+    let oversized = format!(r#"{{"type":"compile","pad":"{}"}}"#, "x".repeat(1 << 20));
+    let v1: Vec<String> = vec![
+        r#"{"type":"hello","proto":3}"#.into(),
+        "this is not json".into(),
+        oversized.clone(),
+        compile(""),
+    ];
+    let v2: Vec<String> = vec![
+        r#"{"type":"hello","proto":2}"#.into(),
+        r#"{"id":"h2","type":"hello","proto":2}"#.into(),
+        // No id on v2: a compute op the scanner defers, and an inline op.
+        compile(""),
+        r#"{"type":"stats"}"#.into(),
+        // Id replay on the scan fast path.
+        compile(r#""f1""#),
+        compile(r#""f1""#),
+        // Id replay on the slow path: an escaped id, and a body that
+        // fails validation after its id was admitted.
+        compile(r#""s\u0031""#),
+        compile(r#""s\u0031""#),
+        r#"{"id":"s2","type":"run"}"#.into(),
+        r#"{"id":"s2","type":"run"}"#.into(),
+        oversized,
+        compile(r#""after""#),
+        "{\"id\":\"g\",".into(),
+        // Malformed only below the top level: the shard's `E_PARSE`,
+        // not a forwarded line retried as a shard fault.
+        r#"{"id":"n","type":"compile","source":"x","backend":[1,,2]}"#.into(),
+    ];
+    for lines in [&v1, &v2] {
+        let direct = session(shard.local_addr(), lines);
+        let routed = session(router.local_addr(), lines);
+        for (i, (d, r)) in direct.iter().zip(&routed).enumerate() {
+            assert_eq!(r, d, "line {i} differs through the router");
+        }
+    }
+
+    router.shutdown();
+    router.join();
+    shard.shutdown();
+    shard.join();
+}
+
+/// The `io` profile of the chaos suite, on the router's own fault sites.
+fn router_io_plan() -> sempe_service::FaultPlan {
+    let seed: u64 =
+        std::env::var("SEMPE_CHAOS_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
+    sempe_service::FaultPlan::parse(&format!(
+        "seed={seed},accept_drop=200,accept_storm=60,read_stall=250,write_stall=250,\
+         write_trunc=200,read_stall_ms=5,write_stall_ms=5"
+    ))
+    .expect("plan parses")
+}
+
+/// One exchange on a fresh connection, retried until it yields a
+/// complete non-`E_BUSY` reply (dropped connections, truncated frames
+/// and shed requests are the injected faults).
+fn converge(addr: std::net::SocketAddr, line: &str) -> String {
+    let mut last = String::new();
+    for attempt in 1..=200u64 {
+        let outcome = TcpStream::connect(addr).map_err(|e| e.to_string()).and_then(|mut s| {
+            s.set_read_timeout(Some(Duration::from_secs(20))).expect("read timeout");
+            writeln!(s, "{line}").map_err(|e| e.to_string())?;
+            let mut resp = String::new();
+            BufReader::new(s).read_line(&mut resp).map_err(|e| e.to_string())?;
+            Ok(resp)
+        });
+        match outcome {
+            Ok(resp) if resp.ends_with('\n') && !resp.contains("\"E_BUSY\"") => {
+                return resp.trim_end().to_string();
+            }
+            Ok(resp) => last = resp,
+            Err(e) => last = e,
+        }
+        std::thread::sleep(Duration::from_millis(attempt.min(20)));
+    }
+    panic!("no convergence in 200 attempts; last outcome: {last}");
+}
+
+#[test]
+fn routed_fault_soak_converges_to_fault_free_bytes() {
+    let shard =
+        Server::start(&ServiceConfig { workers: 2, ..ServiceConfig::default() }).expect("shard");
+    let source = json::escape(TUNABLE);
+    let pool: Vec<String> = vec![
+        run_line(3),
+        run_line(5),
+        format!(r#"{{"type":"compile","source":{source},"backend":"cte"}}"#),
+        format!(
+            r#"{{"type":"batch","source":{source},"backend":"baseline","inputs":[{{"n":1}},{{"n":2}}],"max_cycles":80000000}}"#
+        ),
+    ];
+    let expected: Vec<String> = pool.iter().map(|l| roundtrip(shard.local_addr(), l)).collect();
+    for want in &expected {
+        assert!(want.starts_with(r#"{"ok":true"#), "fault-free reply failed: {want}");
+    }
+
+    let router = Router::start(&RouterConfig {
+        fault_plan: Some(router_io_plan()),
+        ..fast_config(vec![shard.local_addr().to_string()])
+    })
+    .expect("router");
+    let addr = router.local_addr();
+    std::thread::scope(|s| {
+        for client in 0..4 {
+            let (pool, expected) = (&pool, &expected);
+            s.spawn(move || {
+                for i in 0..2 * pool.len() {
+                    let k = (client + i) % pool.len();
+                    assert_eq!(converge(addr, &pool[k]), expected[k], "client {client} req {k}");
+                }
+            });
+        }
+    });
+    // The plan bit: a soak that injected nothing proves nothing.
+    let health = json::parse(&converge(addr, r#"{"type":"health"}"#)).expect("health parses");
+    let injected = health.get("faults").and_then(|f| f.get("injected")).expect("fault ledger");
+    let total: u64 = ["accept_drop", "accept_storm", "read_stall", "write_stall", "write_trunc"]
+        .iter()
+        .filter_map(|k| injected.get(k).and_then(Json::as_u64))
+        .sum();
+    assert!(total > 0, "router fault plan never fired: {health:?}");
 
     router.shutdown();
     router.join();

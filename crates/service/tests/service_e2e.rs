@@ -414,3 +414,60 @@ fn expired_deadline_returns_e_deadline_with_partial_stats_over_the_wire() {
     server.shutdown();
     server.join();
 }
+
+/// A deadline that lapses while the job is still queued is refused with
+/// zero progress in the op's own `partial` shape, like every other
+/// `E_DEADLINE`: one worker is held by a long run, and two 1 ms budgets
+/// queue behind it.
+#[test]
+fn queued_deadline_refusals_carry_zero_progress_partials() {
+    let server = start(1);
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(60))).expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let long_loop = r"
+        var i = 0;
+        while (i < 1000000) bound 1000001 { i = i + 1; }
+        output i;
+    ";
+    let lines = [
+        r#"{"id":"v2","type":"hello","proto":2}"#.to_string(),
+        format!(
+            r#"{{"id":"hold","type":"run","source":{},"max_cycles":400000000,"deadline_ms":600}}"#,
+            json::escape(long_loop)
+        ),
+        format!(
+            r#"{{"id":"run","type":"run","source":{},"backend":"sempe","deadline_ms":1}}"#,
+            json::escape(MODEXP)
+        ),
+        format!(
+            r#"{{"id":"batch","type":"batch","source":{},"backend":"sempe","inputs":[{{"key":1}}],"deadline_ms":1}}"#,
+            json::escape(MODEXP)
+        ),
+    ];
+    for line in &lines {
+        writeln!(stream, "{line}").expect("send");
+    }
+    let mut replies = HashMap::new();
+    for _ in 0..lines.len() {
+        let mut resp = String::new();
+        reader.read_line(&mut resp).expect("recv");
+        let v = json::parse(resp.trim_end()).expect("reply parses");
+        let id = v.get("id").and_then(Json::as_str).expect("v2 replies carry ids").to_string();
+        replies.insert(id, resp.trim_end().to_string());
+    }
+    for (id, partial) in [
+        ("run", r#""partial":{"cycles":0,"committed":0}"#),
+        ("batch", r#""partial":{"items_done":0}"#),
+    ] {
+        let resp = &replies[id];
+        assert!(resp.contains("\"E_DEADLINE\""), "{resp}");
+        assert!(
+            resp.ends_with(&format!("{partial}}}")),
+            "{id}: zero progress in its shape: {resp}"
+        );
+    }
+    assert!(replies["hold"].contains("\"E_DEADLINE\""), "{}", replies["hold"]);
+    server.shutdown();
+    server.join();
+}

@@ -260,13 +260,13 @@ enum CompletionKind {
 /// * **Accumulates** across [`Simulator::restore_from`]: a fork-server
 ///   worker restoring N trials sees the sum of all N restores and runs,
 ///   so a service request maps to exactly one `take_host_profile()`.
-///   This is deliberately *different* from [`Simulator::skip_counters`],
-///   which resets per restore (a per-trial diagnostic).
+///   A per-trial reading (e.g. the skip counters of one forked trial)
+///   takes the profile at the start of the trial and again at its end.
 ///
-/// Like the skip counters, none of this feeds [`SimStats`]: simulated
-/// results stay bit-for-bit identical whether or not anyone reads the
-/// profile, and the cost is two `Instant::now()` calls per run/restore
-/// — nothing per simulated cycle.
+/// None of this feeds [`SimStats`]: simulated results stay bit-for-bit
+/// identical whether or not anyone reads the profile, and the cost is
+/// two `Instant::now()` calls per run/restore — nothing per simulated
+/// cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostProfile {
     /// Nanoseconds spent decoding + loading the program image
@@ -280,8 +280,9 @@ pub struct HostProfile {
     pub runs: u64,
     /// Number of checkpoint restores folded into `restore_ns`.
     pub restores: u64,
-    /// Cycles fast-forwarded by the next-event skip (accumulating
-    /// twin of [`Simulator::skip_counters`]).
+    /// Cycles fast-forwarded by the next-event skip. Host-side
+    /// diagnostics only — deliberately *not* part of [`SimStats`], which
+    /// must be bit-for-bit identical between skip and classic stepping.
     pub skipped_cycles: u64,
     /// Skip jumps taken.
     pub skips: u64,
@@ -449,12 +450,6 @@ pub struct Simulator {
     trace: ObservationTrace,
     stats: SimStats,
     last_commit_cycle: u64,
-    /// Cycles fast-forwarded by the next-event skip. Host-side
-    /// diagnostics only — deliberately *not* part of [`SimStats`], which
-    /// must be bit-for-bit identical between skip and classic stepping.
-    skipped_cycles: u64,
-    /// Number of skip jumps taken.
-    skips: u64,
     /// Host-time ledger (see [`HostProfile`] for the lifetime contract).
     host: HostProfile,
 
@@ -525,8 +520,6 @@ impl Simulator {
             trace: ObservationTrace::new(),
             stats: SimStats::default(),
             last_commit_cycle: 0,
-            skipped_cycles: 0,
-            skips: 0,
             host: HostProfile::default(),
             due_scratch: Vec::new(),
             issue_candidates: Vec::new(),
@@ -718,9 +711,6 @@ impl Simulator {
         self.trace.clone_from(&cp.trace);
         self.stats = cp.stats;
         self.last_commit_cycle = cp.last_commit_cycle;
-        // Host-side skip diagnostics restart with the forked trial.
-        self.skipped_cycles = 0;
-        self.skips = 0;
         // Transient state: empty at the checkpoint, so reset in place.
         self.frontend.clear();
         self.rob.reset(cp.config.core.rob_entries);
@@ -796,8 +786,6 @@ impl Simulator {
             trace: cp.trace.clone(),
             stats: cp.stats,
             last_commit_cycle: 0,
-            skipped_cycles: 0,
-            skips: 0,
             host: HostProfile::default(),
             due_scratch: Vec::new(),
             issue_candidates: Vec::new(),
@@ -872,15 +860,6 @@ impl Simulator {
     #[must_use]
     pub fn roi_spans(&self) -> &[(u64, u64)] {
         &self.roi_spans
-    }
-
-    /// Host-side cycle-skip diagnostics: `(cycles fast-forwarded, skip
-    /// jumps taken)` since construction, rebuild, or restore. Kept out
-    /// of [`SimStats`] so identical-run comparisons (skip vs classic,
-    /// forked vs cold) never see them.
-    #[must_use]
-    pub fn skip_counters(&self) -> (u64, u64) {
-        (self.skipped_cycles, self.skips)
     }
 
     /// The host-time ledger since construction, rebuild, or the last
@@ -1060,8 +1039,6 @@ impl Simulator {
         if self.rename_blocked_on.is_some() || self.cycle < self.rename_stall_until {
             self.stats.drain_stall_cycles += span;
         }
-        self.skipped_cycles += span;
-        self.skips += 1;
         self.host.skipped_cycles += span;
         self.host.skips += 1;
         self.cycle = target;

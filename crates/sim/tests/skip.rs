@@ -32,8 +32,11 @@ struct Observed {
 
 fn observe(prog: &Program, config: SimConfig, fuel: u64) -> Observed {
     let mut sim = Simulator::new(prog, config.with_trace()).expect("builds");
+    // A fresh machine's ledger is drained at the start of the trial.
+    let _ = sim.take_host_profile();
     let result = sim.run(fuel).map(|r| r.stats);
-    let (skipped, skips) = sim.skip_counters();
+    let host = sim.take_host_profile();
+    let (skipped, skips) = (host.skipped_cycles, host.skips);
     Observed {
         result,
         final_cycle_stats: sim.stats(),
@@ -249,14 +252,16 @@ fn fork_and_skip_compose() {
     let config = SimConfig::baseline().with_trace();
     let mut cold = Simulator::new(&prog, config).unwrap();
     let cp = cold.checkpoint().unwrap();
+    let _ = cold.take_host_profile();
     let cold_res = cold.run(FUEL).unwrap();
     let cold_trace = cold.trace().clone();
-    let (cold_skipped, _) = cold.skip_counters();
+    let cold_skipped = cold.take_host_profile().skipped_cycles;
     assert!(cold_skipped > 0);
 
     let mut forked = Simulator::from_checkpoint(&cp);
+    let _ = forked.take_host_profile();
     let forked_res = forked.run(FUEL).unwrap();
     assert_eq!(forked_res.stats, cold_res.stats);
     assert_eq!(first_divergence(&cold_trace, forked.trace(), Strictness::Full), None);
-    assert_eq!(forked.skip_counters().0, cold_skipped, "same machine, same skips");
+    assert_eq!(forked.take_host_profile().skipped_cycles, cold_skipped, "same machine, same skips");
 }
